@@ -60,45 +60,62 @@ from typing import Optional, Tuple
 from .graphs.csr import Graph
 from .planar.embedding import PlanarEmbedding
 
-__all__ = ["main", "parse_target", "parse_pattern"]
+__all__ = ["main", "parse_target", "parse_target_spec", "parse_pattern"]
+
+
+def parse_target_spec(spec: str) -> Tuple[str, Tuple[int, ...]]:
+    """Check a target spec's syntax: its family and integer arguments.
+
+    Builds nothing, so it is cheap enough to validate every request with;
+    :func:`parse_target` builds the graph.  Raises ``SystemExit`` on an
+    unknown family or a malformed argument (the argparse contract).
+    """
+    name, *args = spec.split(":")
+    try:
+        if name in ("grid", "trigrid"):
+            r, c = args[0].split("x")
+            return name, (int(r), int(c))
+        if name in ("delaunay", "tree", "outerplanar"):
+            seed = int(args[1]) if len(args) > 1 else 0
+            return name, (int(args[0]), seed)
+        if name in ("cycle", "path", "wheel", "antiprism"):
+            return name, (int(args[0]),)
+        if name == "icosahedron":
+            return name, ()
+        raise ValueError(f"unknown target family {name!r}")
+    except (IndexError, ValueError) as exc:
+        raise SystemExit(f"bad target spec {spec!r}: {exc}") from exc
 
 
 def parse_target(spec: str) -> Tuple[Graph, PlanarEmbedding]:
-    """Build the target graph + embedding from a CLI spec string."""
+    """Build the target graph + embedding from a CLI spec string.
+
+    Raises ``SystemExit`` on a malformed spec (see
+    :func:`parse_target_spec`) and on arguments the family's generator
+    rejects (``grid:0x0``).
+    """
     from . import graphs
     from .planar import embed_geometric, embed_planar
 
-    name, *args = spec.split(":")
+    name, args = parse_target_spec(spec)
     try:
-        if name == "grid":
-            r, c = args[0].split("x")
-            gg = graphs.grid_graph(int(r), int(c))
-        elif name == "trigrid":
-            r, c = args[0].split("x")
-            gg = graphs.triangulated_grid(int(r), int(c))
-        elif name == "delaunay":
-            seed = int(args[1]) if len(args) > 1 else 0
-            gg = graphs.delaunay_graph(int(args[0]), seed=seed)
-        elif name == "cycle":
-            gg = graphs.cycle_graph(int(args[0]))
-        elif name == "path":
-            gg = graphs.path_graph(int(args[0]))
-        elif name == "wheel":
-            gg = graphs.wheel_graph(int(args[0]))
-        elif name == "antiprism":
-            gg = graphs.antiprism_graph(int(args[0]))
-        elif name == "icosahedron":
+        if name == "icosahedron":
             g = graphs.icosahedron_graph().graph
             return g, embed_planar(g)
-        elif name == "tree":
-            seed = int(args[1]) if len(args) > 1 else 0
-            g = graphs.random_tree(int(args[0]), seed=seed)
+        if name == "tree":
+            g = graphs.random_tree(*args)
             return g, embed_planar(g)
-        elif name == "outerplanar":
-            seed = int(args[1]) if len(args) > 1 else 0
-            gg = graphs.outerplanar_graph(int(args[0]), seed=seed)
-        else:
-            raise ValueError(f"unknown target family {name!r}")
+        build = {
+            "grid": graphs.grid_graph,
+            "trigrid": graphs.triangulated_grid,
+            "delaunay": graphs.delaunay_graph,
+            "cycle": graphs.cycle_graph,
+            "path": graphs.path_graph,
+            "wheel": graphs.wheel_graph,
+            "antiprism": graphs.antiprism_graph,
+            "outerplanar": graphs.outerplanar_graph,
+        }[name]
+        gg = build(*args)
     except (IndexError, ValueError) as exc:
         raise SystemExit(f"bad target spec {spec!r}: {exc}") from exc
     emb, _ = embed_geometric(gg)

@@ -37,8 +37,10 @@ graph addresses a disjoint key space (property-tested).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .keys import (
     decomposition_fingerprint,
     graph_fingerprint,
     mask_fingerprint,
+    pattern_fingerprint,
     piece_fingerprint,
     target_fingerprint,
 )
@@ -65,6 +68,22 @@ class _Entry:
 
     value: object
     cold_cost: Cost
+
+
+def _copy_result(result, **changes):
+    """Copy of a driver result that shares no mutable field with it: its
+    witness set or dict and its plan are copied too (the plan without its
+    cost model, which keeps calibrating), so neither the cache nor any
+    caller can change another's answer.  ``changes`` replace fields."""
+    for f in dataclasses.fields(result):
+        if f.name in changes:
+            continue
+        value = getattr(result, f.name)
+        if f.name == "plan" and value is not None:
+            changes["plan"] = dataclasses.replace(value, _model=None)
+        elif isinstance(value, (set, dict, list)):
+            changes[f.name] = copy.copy(value)
+    return dataclasses.replace(result, **changes)
 
 
 class _Amortization:
@@ -221,6 +240,9 @@ class TargetSession(ColdArtifacts):
         self._amort = _amort if _amort is not None else _Amortization()
         self._cache: Dict[tuple, _Entry] = {}
         self._children: Dict[tuple, "TargetSession"] = {}
+        #: Calls of :meth:`invalidate`; between two of them the caches
+        #: only grow (the pool sizes new entries by that).
+        self.invalidations = 0
 
     # -- cache plumbing ----------------------------------------------------
 
@@ -247,6 +269,7 @@ class TargetSession(ColdArtifacts):
             child.invalidate()
         self._cache.clear()
         self._children.clear()
+        self.invalidations += 1
 
     def _hit(self, kind: str, entry: _Entry, tracer: Optional[Tracer]):
         self.stats.record_hit(kind, entry.cold_cost)
@@ -497,21 +520,41 @@ class TargetSession(ColdArtifacts):
             **kwargs,
         )
 
-    def list_occurrences(self, pattern, seed: int = 0, **kwargs):
-        """Session-backed :func:`~repro.isomorphism.listing.list_occurrences`."""
+    def list_occurrences(
+        self, pattern, seed: int = 0, engine: Optional[str] = None,
+        confidence_log_factor: float = 1.0,
+        max_iterations: Optional[int] = None, backend=None, plan=None,
+    ):
+        """Session-backed :func:`~repro.isomorphism.listing.list_occurrences`;
+        a repeated query is answered from the cache (see :meth:`_answer`)."""
         from ..isomorphism.listing import list_occurrences
 
-        return list_occurrences(
-            self.graph, self.embedding, pattern, seed, artifacts=self,
-            **kwargs,
+        return self._answer(
+            "list-answer", "list-occurrences", plan,
+            (
+                pattern_fingerprint(pattern), int(seed), engine,
+                float(confidence_log_factor), max_iterations,
+            ),
+            lambda: list_occurrences(
+                self.graph, self.embedding, pattern, seed, engine=engine,
+                confidence_log_factor=confidence_log_factor,
+                max_iterations=max_iterations, artifacts=self,
+                backend=backend, plan=plan,
+            ),
         )
 
-    def count_exact(self, pattern, **kwargs):
-        """Session-backed :func:`~repro.isomorphism.counting.count_occurrences_exact`."""
+    def count_exact(self, pattern, backend=None, plan=None):
+        """Session-backed :func:`~repro.isomorphism.counting.count_occurrences_exact`;
+        a repeated query is answered from the cache (see :meth:`_answer`)."""
         from ..isomorphism.counting import count_occurrences_exact
 
-        return count_occurrences_exact(
-            self.graph, self.embedding, pattern, artifacts=self, **kwargs
+        return self._answer(
+            "count-answer", "count-exact", plan,
+            (pattern_fingerprint(pattern),),
+            lambda: count_occurrences_exact(
+                self.graph, self.embedding, pattern, artifacts=self,
+                backend=backend, plan=plan,
+            ),
         )
 
     def decide_separating(self, marked, pattern, seed: int = 0, **kwargs):
@@ -523,13 +566,52 @@ class TargetSession(ColdArtifacts):
             artifacts=self, **kwargs,
         )
 
-    def vertex_connectivity(self, seed: int = 0, **kwargs):
-        """Session-backed :func:`~repro.connectivity.planar_vc.planar_vertex_connectivity`."""
+    def vertex_connectivity(
+        self, seed: int = 0, engine: Optional[str] = None,
+        rounds: Optional[int] = None, want_certificate: bool = False,
+        backend=None, plan=None,
+    ):
+        """Session-backed :func:`~repro.connectivity.planar_vc.planar_vertex_connectivity`;
+        a repeated query is answered from the cache (see :meth:`_answer`)."""
         from ..connectivity.planar_vc import planar_vertex_connectivity
 
-        return planar_vertex_connectivity(
-            self.graph, self.embedding, seed=seed, artifacts=self, **kwargs
+        return self._answer(
+            "vc-answer", "planar-vc", plan,
+            (int(seed), engine, rounds, bool(want_certificate)),
+            lambda: planar_vertex_connectivity(
+                self.graph, self.embedding, seed=seed, engine=engine,
+                rounds=rounds, want_certificate=want_certificate,
+                artifacts=self, backend=backend, plan=plan,
+            ),
         )
+
+    def _answer(
+        self, kind: str, root: str, plan, args: tuple, solve: Callable
+    ):
+        """The cached answer of a list, count or connectivity query.
+
+        ``args`` holds every argument besides ``plan`` that can change the
+        answer or its plan (the backend cannot).  A miss runs ``solve()``
+        and stores a copy of its result without the span tree; a hit
+        returns a zero-cost copy (see :meth:`_cached_result`) whose
+        ``cold_equivalent_cost`` is the first answer's, so its work stays
+        exactly the one-shot charge.  A query planned by a
+        :class:`~repro.engine.planner.QueryPlan` object always runs.
+        """
+        if plan is not None and not isinstance(plan, str):
+            return solve()
+        key = (kind, self.target_key, plan) + args
+        entry = self._cache.get(key)
+        if entry is not None:
+            return self._cached_result(
+                entry.value, kind, root, entry.cold_cost
+            )
+        result = solve()
+        self._store(
+            kind, key, _copy_result(result, trace=None),
+            result.cold_equivalent_cost,
+        )
+        return result
 
     def decide_batch(
         self, patterns: Sequence, seed: int = 0, plan=None, **kwargs
@@ -564,8 +646,6 @@ class TargetSession(ColdArtifacts):
         is why sharing is opt-in).  The shared charge lives on
         ``BatchResult.cost``/``trace``; per-result costs are zero.
         """
-        from .keys import pattern_fingerprint
-
         unique: List = []
         assign: List[int] = []
         index_of: Dict[str, int] = {}
@@ -595,7 +675,10 @@ class TargetSession(ColdArtifacts):
             uidx = assign[i]
             if uidx < len(unique_results):
                 original = unique_results[uidx]
-                result = self._dedup_result(original)
+                # The saved cost is the warm re-solve the duplicate skips.
+                result = self._cached_result(
+                    original, "batch-dedup", "decide-si", original.cost
+                )
             else:
                 result = self.decide(
                     pattern, seed=seed, plan=plan, **kwargs
@@ -615,24 +698,16 @@ class TargetSession(ColdArtifacts):
             deduped_queries=deduped,
         )
 
-    def _dedup_result(self, original):
-        """Fan-out copy of a duplicate query's result: same verdict and
-        witness, zero charged cost (a fresh zero-cost trace keeps
+    def _cached_result(self, original, kind: str, root: str, saved: Cost):
+        """Zero-cost copy of an answered query's result: same answer (see
+        :func:`_copy_result`), zero charged cost (a fresh trace ``root``
+        with one zero-cost ``<kind>-cached`` leaf keeps
         ``result.trace.cost == result.cost``), the original's
-        cold-equivalent charge, and a ``batch-dedup`` CacheStats hit whose
-        saved cost is the warm re-solve the duplicate skipped."""
-        import dataclasses
-
-        tracer = Tracer("decide-si")
-        self.stats.record_hit("batch-dedup", original.cost)
-        tracer.charge(
-            Cost.zero(),
-            label="batch-dedup-cached",
-            amortized=1,
-            saved_work=original.cost.work,
-            saved_depth=original.cost.depth,
-        )
-        return dataclasses.replace(
+        cold-equivalent charge, and a ``kind`` CacheStats hit whose saved
+        cost is ``saved``."""
+        tracer = Tracer(root)
+        self._hit(kind, _Entry(original, saved), tracer)
+        return _copy_result(
             original,
             cost=Cost.zero(),
             trace=tracer.root,

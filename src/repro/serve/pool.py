@@ -7,11 +7,20 @@ pool keys resident sessions by the *target fingerprint*
 ``grid:8x8`` and any other spec producing the same graph+embedding share
 one session, and a mutated target can never alias a stale one.
 
-Residency is byte-budgeted: after each query the served session's
-estimated resident size is refreshed, and least-recently-used sessions
-are invalidated and dropped until the pool fits the budget (the session
-in use is never evicted; a single oversized session may therefore exceed
-the budget alone rather than thrash).  Eviction goes through
+A target is built once: :meth:`SessionPool.acquire` builds the graph
+and its embedding when the spec is not resident, on the executor thread
+that answers the query (requests check specs by syntax only).
+
+Residency is byte-budgeted: after each query the pool sizes the
+artifacts that query stored, and least-recently-used sessions are
+invalidated and dropped until the pool fits the budget (the session in
+use is never evicted; a single oversized session may therefore exceed
+the budget alone rather than thrash).  Sizing is incremental: between
+invalidations a session's caches only grow, so :meth:`touch` sizes only
+the entries stored since the last touch, against one identity set per
+session (an object shared by several artifacts counts once).  It runs
+under the session's lock, so it never walks a cache that a query on
+another executor thread is filling.  Eviction goes through
 :meth:`TargetSession.invalidate`, so every dropped artifact lands in the
 session's ``CacheStats.evictions`` — the pool folds those counters into
 its lifetime totals, which ``/metrics`` exposes as
@@ -20,12 +29,15 @@ its lifetime totals, which ``/metrics`` exposes as
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .errors import BadRequest
 
 __all__ = ["PooledSession", "SessionPool"]
 
@@ -37,9 +49,10 @@ def estimate_nbytes(obj: object, _seen: Optional[set] = None) -> int:
     """Recursive resident-size estimate of one cached artifact.
 
     numpy arrays report their buffer size exactly; containers and plain
-    objects recurse over their contents with ``sys.getsizeof`` for the
-    shells.  Shared sub-objects are counted once (identity-deduplicated),
-    matching what eviction would actually free.
+    objects recurse over their contents (a plain object's attribute
+    values) with ``sys.getsizeof`` for the shells.  Shared sub-objects are
+    counted once (identity-deduplicated), matching what eviction would
+    actually free.
     """
     if _seen is None:
         _seen = set()
@@ -59,11 +72,24 @@ def estimate_nbytes(obj: object, _seen: Optional[set] = None) -> int:
     else:
         attrs = getattr(obj, "__dict__", None)
         if attrs is not None:
-            size += estimate_nbytes(attrs, _seen)
+            # Not the dict shell: CPython sizes an instance dict's shared
+            # keys only while no other instance shares them, so the
+            # shell's size moves with other objects' lifetimes, and an
+            # artifact sized once would seem to change.
+            for value in attrs.values():
+                size += estimate_nbytes(value, _seen)
         for slot in getattr(type(obj), "__slots__", ()):
             if hasattr(obj, slot):
                 size += estimate_nbytes(getattr(obj, slot), _seen)
     return size
+
+
+def _caches(session, path: tuple = ()) -> Iterator[Tuple[tuple, dict]]:
+    """(key path, artifact dict) of ``session`` and of every derived
+    sub-session under it."""
+    yield path, session._cache
+    for key, child in session._children.items():
+        yield from _caches(child, path + (key,))
 
 
 class PooledSession:
@@ -79,17 +105,32 @@ class PooledSession:
         #: thread-safe, and the server answers different targets'
         #: queries concurrently on executor threads.
         self.lock = threading.Lock()
+        # Sizing state: ids of the objects counted so far, and how many
+        # entries of each cache (by key path) have been sized.
+        self._seen: set = set()
+        self._sized: Dict[tuple, int] = {}
+        self._invalidations = session.invalidations
 
     def refresh_nbytes(self) -> int:
-        """Re-estimate the session's resident artifact bytes."""
-        total = 0
-        for entry in self.session._cache.values():
-            total += estimate_nbytes(entry.value)
-        for child in self.session._children.values():
-            for entry in child._cache.values():
-                total += estimate_nbytes(entry.value)
-        self.nbytes = total
-        return total
+        """Add the size of every artifact stored since the last refresh.
+
+        Caller holds ``self.lock``.  Caches only grow between
+        invalidations and dicts keep insertion order, so the entries past
+        each cache's sized count are exactly the new ones; an
+        invalidation starts the count over.
+        """
+        if self.session.invalidations != self._invalidations:
+            self._invalidations = self.session.invalidations
+            self._seen = set()
+            self._sized = {}
+            self.nbytes = 0
+        for path, cache in _caches(self.session):
+            start = self._sized.get(path, 0)
+            if len(cache) > start:
+                for entry in itertools.islice(cache.values(), start, None):
+                    self.nbytes += estimate_nbytes(entry.value, self._seen)
+                self._sized[path] = len(cache)
+        return self.nbytes
 
 
 class SessionPool:
@@ -136,7 +177,8 @@ class SessionPool:
         Marks the session most-recently-used.  The build happens outside
         the pool lock (graph construction and embedding are real work);
         a concurrent build of the same fingerprint is resolved by
-        last-writer-loses — the first registered session wins.
+        last-writer-loses — the first registered session wins.  Raises
+        :class:`BadRequest` when the spec's generator rejects it.
         """
         from ..engine.keys import target_fingerprint
         from ..engine.session import TargetSession
@@ -151,7 +193,13 @@ class SessionPool:
                     return pooled
         from .. import cli
 
-        graph, embedding = cli.parse_target(target_spec)
+        try:
+            graph, embedding = cli.parse_target(target_spec)
+        except SystemExit as exc:
+            # Specs are checked by syntax only, so a family's generator
+            # may still reject one (``grid:0x0``).  A SystemExit escaping
+            # the executor would stop the daemon's event loop.
+            raise BadRequest(str(exc)) from exc
         fingerprint = target_fingerprint(graph, embedding)
         with self._lock:
             self._spec_fingerprints[target_spec] = fingerprint
@@ -168,9 +216,11 @@ class SessionPool:
             return pooled
 
     def touch(self, pooled: PooledSession) -> None:
-        """Refresh ``pooled``'s size and evict LRU sessions over budget."""
-        pooled.refresh_nbytes()
-        pooled.queries += 1
+        """Size ``pooled``'s new artifacts and evict LRU sessions over
+        budget.  Sizing waits for the session's lock."""
+        with pooled.lock:
+            pooled.refresh_nbytes()
+            pooled.queries += 1
         with self._lock:
             if pooled.fingerprint in self._sessions:
                 self._sessions.move_to_end(pooled.fingerprint)

@@ -6,7 +6,9 @@ pattern by the same spec strings the CLI takes (``grid:16x16``,
 and a CLI invocation read the same.  :func:`parse_query` validates and
 normalizes a request into a :class:`QueryRequest` whose
 :meth:`~QueryRequest.canonical` form keys request coalescing: two
-requests coalesce exactly when their normalized fields agree.
+requests coalesce exactly when their normalized fields agree.  Target
+specs are checked by syntax only (:func:`repro.cli.parse_target_spec`):
+the session pool builds a target once, when it is not resident.
 
 Responses serialize the driver result dataclasses field-by-field —
 verdict/witness/count/connectivity plus the charged ``cost``, the
@@ -45,6 +47,11 @@ _KNOWN_FIELDS = frozenset(
         "plan", "explain",
     }
 )
+
+#: Fields a mode's session method takes no parameter for: listing runs
+#: until its dry-streak stopping rule, exact counting is deterministic
+#: and runs the sequential window DP.
+_NOT_FOR_MODE = {"list": ("rounds",), "count": ("rounds", "engine")}
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def parse_body(raw: bytes) -> dict:
 
 
 def _parse_spec(kind: str, spec: object, parser) -> str:
-    """Validate one target/pattern spec string by building it once.
+    """Validate one target/pattern spec string with a CLI parser.
 
     The CLI parsers raise ``SystemExit`` on bad specs (their argparse
     contract); the service maps that to a 400 instead of dying.
@@ -123,7 +130,9 @@ def parse_query(mode: str, payload: dict, batch: bool = False) -> QueryRequest:
 
     if "target" not in payload:
         raise BadRequest("missing required field 'target'")
-    target = _parse_spec("target", payload["target"], cli.parse_target)
+    target = _parse_spec(
+        "target", payload["target"], cli.parse_target_spec
+    )
 
     patterns: Tuple[str, ...] = ()
     if batch:
@@ -148,6 +157,9 @@ def parse_query(mode: str, payload: dict, batch: bool = False) -> QueryRequest:
     seed = payload.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise BadRequest("'seed' must be an integer")
+    for name in _NOT_FOR_MODE.get(mode, ()):
+        if name in payload:
+            raise BadRequest(f"'{name}' does not apply to {mode} queries")
     rounds = payload.get("rounds")
     if rounds is not None and (
         not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1

@@ -359,8 +359,7 @@ class QueryServer:
             return session.list_occurrences(
                 pattern, seed=request.seed, **kwargs
             )
-        # count: the deterministic window DP takes no seed or rounds.
-        kwargs.pop("rounds", None)
+        # count: the deterministic window DP takes no seed.
         return session.count_exact(pattern, **kwargs)
 
 

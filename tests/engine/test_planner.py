@@ -233,33 +233,57 @@ class TestCalibration:
         assert as_dict["actual_work"] == result.cost.work
 
 
+#: The 8 patterns of the regret workload (k = 3..6, found and not found).
+REGRET_PATTERNS = [
+    cycle_pattern(4), path_pattern(4), diamond(), triangle(),
+    cycle_pattern(6), path_pattern(5), star_pattern(3),
+    cycle_pattern(5),
+]
+
+
+@pytest.fixture(scope="module")
+def regret_workload():
+    """The 16-query regret workload (the 8 patterns twice, query i with
+    seed i on a 16x16 grid), run once for both regret tests: per query the
+    manual engines' Brent times, and the ``plan="auto"`` results on one
+    provider with the default (committed-prior) cost model."""
+    graph, emb = _grid(16, 16)
+    patterns = REGRET_PATTERNS * 2
+    provider = ColdArtifacts(graph, emb)
+    assert provider.cost_model.observations == 0
+    manual, auto = [], []
+    for i, pattern in enumerate(patterns):
+        times = {}
+        for engine in ("parallel", "sequential"):
+            res = decide_subgraph_isomorphism(
+                graph, emb, pattern, seed=i, rounds=2, engine=engine,
+            )
+            times[engine] = res.cost.brent_time(PROCESSORS)
+        manual.append(times)
+        auto.append(decide_subgraph_isomorphism(
+            graph, emb, pattern, seed=i, rounds=2,
+            artifacts=provider, plan="auto",
+        ))
+    return {
+        "graph": graph, "emb": emb, "patterns": patterns,
+        "provider": provider, "manual": manual, "auto": auto,
+    }
+
+
 class TestWorkloadRegret:
-    def test_auto_within_1_2x_of_best_manual(self):
+    def test_auto_within_1_2x_of_best_manual(self, regret_workload):
         """Mixed 16-query workload: the planner's charged trace-cost at
         P=256 stays within 1.2x of the best manual engine in aggregate,
         and per query once the online calibration has warmed up (the
         first half of the workload is the cold-start transient where the
         EMA corrections are still settling)."""
-        graph, emb = _grid(16, 16)
-        patterns = [
-            cycle_pattern(4), path_pattern(4), diamond(), triangle(),
-            cycle_pattern(6), path_pattern(5), star_pattern(3),
-            cycle_pattern(5),
-        ] * 2
-        auto_provider = ColdArtifacts(graph, emb)
+        patterns = regret_workload["patterns"]
+        auto_provider = regret_workload["provider"]
         auto_total = 0
         best_total = 0
         for i, pattern in enumerate(patterns):
-            manual = {}
-            for engine in ("parallel", "sequential"):
-                res = decide_subgraph_isomorphism(
-                    graph, emb, pattern, seed=i, rounds=2, engine=engine,
-                )
-                manual[engine] = res.cost.brent_time(PROCESSORS)
-            auto = decide_subgraph_isomorphism(
-                graph, emb, pattern, seed=i, rounds=2,
-                artifacts=auto_provider, plan="auto",
-            )
+            manual = regret_workload["manual"][i]
+            auto = regret_workload["auto"][i]
             best = min(manual.values())
             t_auto = auto.cost.brent_time(PROCESSORS)
             auto_total += t_auto
@@ -275,43 +299,36 @@ class TestWorkloadRegret:
         )
         assert auto_provider.cost_model.observations == len(patterns)
 
-    def test_committed_priors_tighten_cold_start_regret(self):
+    def test_committed_priors_tighten_cold_start_regret(
+        self, regret_workload
+    ):
         """A fresh CostModel seeded from the committed BENCH_PR7 priors
         starts in the converged regime, so the cold half of the workload
         — previously a documented transient where the planner explores
         the parallel engine at 1.4-1.8x regret — must come out strictly
         cheaper than with a deliberately uncalibrated model, and the
-        very first query's regret must be no worse."""
-        graph, emb = _grid(16, 16)
-        patterns = [
-            cycle_pattern(4), path_pattern(4), diamond(), triangle(),
-            cycle_pattern(6), path_pattern(5), star_pattern(3),
-            cycle_pattern(5),
-        ]
-        best = []
+        very first query's regret must be no worse.  The seeded run is
+        the workload's first 8 ``plan="auto"`` queries: a default
+        provider's cost model is seeded from the committed priors."""
+        graph, emb = regret_workload["graph"], regret_workload["emb"]
+        patterns = REGRET_PATTERNS
+        best = [min(regret_workload["manual"][i].values())
+                for i in range(len(patterns))]
+        outcomes = {"seeded": [
+            regret_workload["auto"][i].cost.brent_time(PROCESSORS) / best[i]
+            for i in range(len(patterns))
+        ]}
+        provider = ColdArtifacts(graph, emb)
+        provider.cost_model = CostModel(priors={})
+        assert provider.cost_model.observations == 0
+        regrets = []
         for i, pattern in enumerate(patterns):
-            times = []
-            for engine in ("parallel", "sequential"):
-                res = decide_subgraph_isomorphism(
-                    graph, emb, pattern, seed=i, rounds=2, engine=engine,
-                )
-                times.append(res.cost.brent_time(PROCESSORS))
-            best.append(min(times))
-        outcomes = {}
-        for label, priors in (("seeded", None), ("uncalibrated", {})):
-            provider = ColdArtifacts(graph, emb)
-            provider.cost_model = CostModel(priors=priors)
-            assert provider.cost_model.observations == 0
-            regrets = []
-            for i, pattern in enumerate(patterns):
-                auto = decide_subgraph_isomorphism(
-                    graph, emb, pattern, seed=i, rounds=2,
-                    artifacts=provider, plan="auto",
-                )
-                regrets.append(
-                    auto.cost.brent_time(PROCESSORS) / best[i]
-                )
-            outcomes[label] = regrets
+            auto = decide_subgraph_isomorphism(
+                graph, emb, pattern, seed=i, rounds=2,
+                artifacts=provider, plan="auto",
+            )
+            regrets.append(auto.cost.brent_time(PROCESSORS) / best[i])
+        outcomes["uncalibrated"] = regrets
         assert outcomes["seeded"][0] <= outcomes["uncalibrated"][0], (
             f"priors worsened first-query regret: {outcomes}"
         )

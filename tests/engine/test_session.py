@@ -365,3 +365,111 @@ class TestStats:
             assert leaf.cost == Cost.zero()
             assert leaf.counters.get("amortized") == 1
             assert leaf.counters.get("saved_work", 0) >= 0
+
+
+class TestAnswerCache:
+    """Repeated list, exact-count and connectivity queries are answered
+    from the cache: zero charged cost, one ``<kind>-cached`` leaf, and the
+    first answer's cold-equivalent charge (the one-shot work, exactly)."""
+
+    def _cases(self, graph, emb, session):
+        return [
+            (
+                "list-answer",
+                lambda: session.list_occurrences(path_pattern(3), seed=2),
+                lambda: list_occurrences(graph, emb, path_pattern(3), seed=2),
+                lambda r: r.witnesses,
+            ),
+            (
+                "count-answer",
+                lambda: session.count_exact(cycle_pattern(4)),
+                lambda: count_occurrences_exact(graph, emb, cycle_pattern(4)),
+                lambda r: r.isomorphisms,
+            ),
+            (
+                "vc-answer",
+                lambda: session.vertex_connectivity(seed=1, rounds=1),
+                lambda: planar_vertex_connectivity(
+                    graph, emb, seed=1, rounds=1
+                ),
+                lambda r: r.connectivity,
+            ),
+        ]
+
+    def test_repeat_is_a_zero_cost_hit_with_one_shot_cold_work(self):
+        graph, emb = _grid(5, 5)
+        session = TargetSession(graph, emb)
+        for kind, warm, cold, answer in self._cases(graph, emb, session):
+            first = warm()
+            misses = session.stats.misses[kind]
+            again = warm()
+            one_shot = cold()
+            assert answer(again) == answer(first) == answer(one_shot)
+            assert session.stats.misses[kind] == misses == 1
+            assert session.stats.hits[kind] == 1
+            assert again.cost == Cost.zero()
+            assert again.trace.cost == again.cost
+            assert [c.name for c in again.trace.children] == [
+                f"{kind}-cached"
+            ]
+            assert again.amortized
+            assert again.cold_equivalent_cost == first.cold_equivalent_cost
+            assert again.cold_equivalent_cost.work == one_shot.cost.work
+
+    def test_answers_are_copied_in_and_out(self):
+        graph, emb = _grid(4, 4)
+        session = TargetSession(graph, emb)
+        first = session.list_occurrences(cycle_pattern(4), seed=0)
+        expected = set(first.witnesses)
+        assert expected
+        first.witnesses.clear()
+        again = session.list_occurrences(cycle_pattern(4), seed=0)
+        assert again.witnesses == expected
+        again.witnesses.clear()
+        third = session.list_occurrences(cycle_pattern(4), seed=0)
+        assert third.witnesses == expected
+        # The stored answer keeps no span tree.
+        stored = [
+            entry.value for key, entry in session._cache.items()
+            if key[0] == "list-answer"
+        ]
+        assert len(stored) == 1 and stored[0].trace is None
+
+    def test_key_holds_every_answer_argument_but_not_the_backend(self):
+        graph, emb = _grid(4, 4)
+        session = TargetSession(graph, emb)
+        session.count_exact(path_pattern(3))
+        session.count_exact(path_pattern(3), backend="serial")
+        assert session.stats.hits["count-answer"] == 1
+        session.count_exact(path_pattern(3), plan="auto")
+        session.count_exact(triangle())
+        assert session.stats.misses["count-answer"] == 3
+        session.list_occurrences(path_pattern(3), seed=0)
+        session.list_occurrences(path_pattern(3), seed=1)
+        session.list_occurrences(path_pattern(3), seed=0, max_iterations=1)
+        session.list_occurrences(path_pattern(3), seed=0, engine="sequential")
+        assert session.stats.misses["list-answer"] == 4
+        assert "list-answer" not in session.stats.hits
+
+    def test_query_planned_by_a_plan_object_always_runs(self):
+        from repro.engine.planner import plan_query
+
+        graph, emb = _grid(4, 4)
+        session = TargetSession(graph, emb)
+        plan = plan_query(session, cycle_pattern(4), mode="count")
+        first = session.count_exact(cycle_pattern(4), plan=plan)
+        again = session.count_exact(cycle_pattern(4), plan=plan)
+        assert again.isomorphisms == first.isomorphisms
+        assert "count-answer" not in session.stats.misses
+        assert "count-answer" not in session.stats.hits
+
+    def test_planned_hit_echoes_the_first_plan(self):
+        graph, emb = _grid(4, 4)
+        session = TargetSession(graph, emb)
+        first = session.count_exact(cycle_pattern(4), plan="auto")
+        observed = session.cost_model.observations
+        again = session.count_exact(cycle_pattern(4), plan="auto")
+        assert again.plan is not first.plan
+        assert again.plan.as_dict() == first.plan.as_dict()
+        # A hit plans nothing, so the model calibrates on nothing.
+        assert session.cost_model.observations == observed

@@ -213,6 +213,46 @@ def test_http_error_mapping(server):
     assert "nope" in body["error"]["message"]
 
 
+def test_rounds_on_list_and_count_is_a_400(server):
+    for mode in ("list", "count"):
+        status, body = request(
+            server.port, "POST", f"/v1/{mode}",
+            {"target": "grid:4x4", "pattern": "cycle:4", "rounds": 1},
+        )
+        assert status == 400, body
+        assert "'rounds'" in body["error"]["message"]
+
+
+def test_spec_rejected_at_build_time_is_a_400(server):
+    status, body = request(
+        server.port, "POST", "/v1/decide",
+        {"target": "grid:0x0", "pattern": "cycle:4"},
+    )
+    assert status == 400, body
+    assert "grid:0x0" in body["error"]["message"]
+    status, body = request(server.port, "GET", "/healthz")
+    assert status == 200
+    assert body["status"] == "ok"
+
+
+def test_warm_list_count_connectivity_are_cache_hits(server):
+    for path, payload in (
+        ("/v1/list", {"target": "grid:4x4", "pattern": "cycle:4"}),
+        ("/v1/count", {"target": "grid:4x4", "pattern": "cycle:4"}),
+        ("/v1/connectivity", {"target": "grid:4x4", "rounds": 1}),
+    ):
+        status, cold = request(server.port, "POST", path, payload)
+        assert status == 200
+        status, warm = request(server.port, "POST", path, payload)
+        assert status == 200
+        assert warm["amortized"] is True
+        assert warm["cost"] == {"work": 0, "depth": 0}
+        assert warm["cold_equivalent_cost"] == cold["cold_equivalent_cost"]
+        for field in ("occurrences", "isomorphisms", "connectivity"):
+            assert warm.get(field) == cold.get(field)
+    assert server.pool.session_builds == 1
+
+
 @pytest.mark.slow
 def test_sigterm_drains_and_leaks_no_shm_segments(tmp_path):
     """The real subprocess: SIGTERM mid-request → in-flight completes,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.serve.errors import BadRequest
 from repro.serve.protocol import parse_body, parse_query
 
@@ -46,6 +47,30 @@ def test_parse_query_maps_bad_spec_to_bad_request():
         parse_query(
             "decide", {"target": "grid:4x4", "pattern": "nope:3"}
         )
+
+
+def test_parse_query_checks_target_syntax_without_building(monkeypatch):
+    def no_build(spec):
+        raise AssertionError(f"parse_query built {spec!r}")
+
+    monkeypatch.setattr(cli, "parse_target", no_build)
+    # grid:0x0 is well-formed; only building it fails (in the pool).
+    req = parse_query("decide", {"target": "grid:0x0", "pattern": "cycle:4"})
+    assert req.target == "grid:0x0"
+    for bad in ("grid:4", "grid:ax4", "delaunay", "moebius:5"):
+        with pytest.raises(BadRequest, match="bad target spec"):
+            parse_query("decide", {"target": bad, "pattern": "cycle:4"})
+
+
+@pytest.mark.parametrize(
+    "mode,field,value",
+    [("list", "rounds", 2), ("count", "rounds", 2),
+     ("count", "engine", "sequential")],
+)
+def test_parse_query_rejects_fields_a_mode_does_not_take(mode, field, value):
+    payload = {"target": "grid:4x4", "pattern": "cycle:4", field: value}
+    with pytest.raises(BadRequest, match=f"'{field}'"):
+        parse_query(mode, payload)
 
 
 def test_parse_query_connectivity_takes_no_pattern():
