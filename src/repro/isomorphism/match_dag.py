@@ -445,17 +445,23 @@ def _solve_path_packed(
     ctxs = [ops.ctx(nice.bags[node]) for node in path_nodes]
 
     # ---- vertex sets ------------------------------------------------------
+    # Above the bottom node the states are the bag's locally plausible
+    # ones, enumerated with their digit matrix; the kept rows of that
+    # matrix feed every kernel below, so no local table is decoded.
     states_codes: List[np.ndarray] = [
         _bottom_codes(ops, nice, path_nodes[0], kids, valid_codes)
     ]
+    states_digits: List[Optional[np.ndarray]] = [None]
     for i in range(1, t):
         node = path_nodes[i]
-        codes = ops.local_codes(ctxs[i])
+        codes, digits = ops.local_table(ctxs[i])
         if node_stats is not None:
             fc = int(node_stats[0][node])
             mf = bool(node_stats[1][node])
-            codes = codes[ops.admissible_mask(ctxs[i], codes, fc, mf)]
+            keep = ops.admissible_mask(ctxs[i], codes, fc, mf, digits)
+            codes, digits = codes[keep], digits[keep]
         states_codes.append(codes)
+        states_digits.append(digits)
     sizes = [int(c.size) for c in states_codes]
     offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
@@ -473,23 +479,26 @@ def _solve_path_packed(
         kind = nice.kinds[node]
         cs = kids[node]
         below = states_codes[i - 1]
+        below_digits = states_digits[i - 1]
         here = states_codes[i]
         if kind == INTRODUCE:
             v = int(nice.vertex[node])
             csrc, cout, lift = ops.introduce(
-                ctxs[i - 1], ctxs[i], v, below
+                ctxs[i - 1], ctxs[i], v, below, below_digits
             )
         elif kind == FORGET:
             v = int(nice.vertex[node])
-            csrc, cout, lift = ops.forget(ctxs[i - 1], ctxs[i], v, below)
+            csrc, cout, lift = ops.forget(
+                ctxs[i - 1], ctxs[i], v, below, below_digits
+            )
         else:  # JOIN
             off_child = cs[0] if cs[1] == path_nodes[i - 1] else cs[1]
             li, ri, jout, ok = ops.join(
-                ctxs[i], below, valid_codes[off_child]
+                ctxs[i], below, valid_codes[off_child], below_digits
             )
             csrc = li[ok]
             cout = jout[ok]
-            lift = ops.join_lift(ctxs[i], below)
+            lift = ops.join_lift(ctxs[i], below, below_digits)
         counts = np.bincount(csrc, minlength=below.size)
         work += int(np.maximum(counts, 1).sum())
         pos, found = member_positions(here, cout)
@@ -551,7 +560,9 @@ def _solve_path_packed(
     frontier_parts = [np.arange(sizes[0], dtype=np.int64)]
     for i in range(1, t):
         trivial = np.flatnonzero(
-            ops.trivial_source_mask(ctxs[i], states_codes[i])
+            ops.trivial_source_mask(
+                ctxs[i], states_codes[i], states_digits[i]
+            )
         )
         if trivial.size:
             frontier_parts.append(offsets[i] + trivial)

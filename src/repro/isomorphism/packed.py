@@ -191,11 +191,9 @@ class _BagCtx:
         "base",
         "pows",
         "bag_adj",
-        "host_positions",
         "class_ok",
-        "local_digits",
-        "local_codes",
-        "skel_luts",
+        "occ_lut",
+        "local",
     )
 
     def __init__(self, bag: np.ndarray, k: int) -> None:
@@ -209,15 +207,21 @@ class _BagCtx:
             acc *= self.base
         self.pows = pows
         self.bag_adj: Optional[np.ndarray] = None
-        self.host_positions: Optional[List[int]] = None
         self.class_ok: Optional[np.ndarray] = None
-        self.local_digits: Optional[np.ndarray] = None
-        self.local_codes: Optional[np.ndarray] = None
-        self.skel_luts: Optional[List[np.ndarray]] = None
+        self.occ_lut: Optional[np.ndarray] = None
+        self.local: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class PackedSubgraphOps:
-    """Vectorized kernels for :class:`SubgraphStateSpace` tables."""
+    """Vectorized kernels for :class:`SubgraphStateSpace` tables.
+
+    Every kernel that reads a table's digits takes the table's ``(N, k)``
+    digit matrix as an optional last argument: a caller that already
+    holds it (a locally enumerated table comes with one) passes it in,
+    otherwise the kernel decodes the codes itself — either way each
+    transition decodes its input once.  Passing the matrix never changes
+    a result.
+    """
 
     def __init__(self, space) -> None:
         self.space = space
@@ -228,7 +232,10 @@ class PackedSubgraphOps:
             space.pattern.neighbor_array(p) for p in range(self.k)
         ]
         self.hedges = space.pattern.edge_list()
+        self.adj = space.pattern.adjacency_matrix
+        self.cbits = np.int64(1) << np.arange(self.k, dtype=np.int64)
         self._ctxs: dict = {}
+        self._remaps: dict = {}
 
     # -- feasibility -------------------------------------------------------
 
@@ -262,16 +269,6 @@ class PackedSubgraphOps:
                 ctx.bag_adj = np.zeros((0, 0), dtype=bool)
         return ctx.bag_adj
 
-    def _host_positions(self, ctx: _BagCtx) -> List[int]:
-        if ctx.host_positions is None:
-            space = self.space
-            ctx.host_positions = [
-                j
-                for j in range(ctx.size)
-                if space._can_host(int(ctx.bag[j]))
-            ]
-        return ctx.host_positions
-
     def _class_ok(self, ctx: _BagCtx) -> np.ndarray:
         if ctx.class_ok is None:
             space = self.space
@@ -285,6 +282,21 @@ class PackedSubgraphOps:
             ctx.class_ok = ok
         return ctx.class_ok
 
+    def _remap(self, size: int, jv: int, introduce: bool) -> np.ndarray:
+        """Digit LUT from a child bag of ``size`` to its parent when the
+        vertex at parent position ``jv`` is introduced, or at child
+        position ``jv`` is forgotten (its pattern vertex moves to C)."""
+        key = (size, jv, introduce)
+        lut = self._remaps.get(key)
+        if lut is None:
+            j = np.arange(size, dtype=np.int64)
+            shifted = 2 + j + (j >= jv) if introduce else 2 + j - (j > jv)
+            lut = np.concatenate([np.arange(2, dtype=np.int64), shifted])
+            if not introduce:
+                lut[2 + jv] = 1
+            self._remaps[key] = lut
+        return lut
+
     # -- codec -------------------------------------------------------------
 
     def digits(self, ctx: _BagCtx, codes: np.ndarray) -> np.ndarray:
@@ -292,9 +304,13 @@ class PackedSubgraphOps:
         out = np.empty((codes.size, self.k), dtype=np.int64)
         rest = codes.copy()
         for p in range(self.k):
-            out[:, p] = rest % ctx.base
-            rest //= ctx.base
+            np.divmod(rest, ctx.base, out=(rest, out[:, p]))
         return out
+
+    def _decoded(
+        self, ctx: _BagCtx, codes: np.ndarray, digits: Optional[np.ndarray]
+    ) -> np.ndarray:
+        return self.digits(ctx, codes) if digits is None else digits
 
     def codes_from_digits(self, ctx: _BagCtx, digits: np.ndarray) -> np.ndarray:
         return digits @ ctx.pows
@@ -318,20 +334,24 @@ class PackedSubgraphOps:
         vals = lut[self.digits(ctx, codes)]
         return [tuple(row) for row in vals.tolist()]
 
-    def cmask(self, digits: np.ndarray) -> np.ndarray:
-        """Bitmask (over pattern vertices) of the IN_CHILD positions."""
-        weights = np.int64(1) << np.arange(self.k, dtype=np.int64)
-        return (digits == 1) @ weights
-
-    def occupied_bits(self, ctx: _BagCtx, codes: np.ndarray) -> np.ndarray:
+    def occupied_bits(
+        self,
+        ctx: _BagCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Bitmask (over bag positions) of the phi-occupied bag vertices."""
-        digits = self.digits(ctx, codes)
-        occ = np.zeros(codes.size, dtype=np.int64)
-        one = np.int64(1)
-        for p in range(self.k):
-            d = digits[:, p]
-            occ |= np.where(d >= 2, one << np.maximum(d - 2, 0), 0)
-        return occ
+        if ctx.occ_lut is None:
+            ctx.occ_lut = np.concatenate(
+                [
+                    np.zeros(2, dtype=np.int64),
+                    np.int64(1) << np.arange(ctx.size, dtype=np.int64),
+                ]
+            )
+        lut = ctx.occ_lut
+        return np.bitwise_or.reduce(
+            lut[self._decoded(ctx, codes, digits)], axis=1
+        )
 
     # -- basic states ------------------------------------------------------
 
@@ -344,10 +364,13 @@ class PackedSubgraphOps:
         return codes == int(ctx.pows.sum())
 
     def trivial_source_mask(
-        self, ctx: _BagCtx, codes: np.ndarray
+        self,
+        ctx: _BagCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """States with empty C are unconditionally valid (Section 3.3.2)."""
-        return self.cmask(self.digits(ctx, codes)) == 0
+        return ~(self._decoded(ctx, codes, digits) == 1).any(axis=1)
 
     def admissible_mask(
         self,
@@ -355,15 +378,21 @@ class PackedSubgraphOps:
         codes: np.ndarray,
         forgotten_count: int,
         marked_forgotten: bool,
+        digits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Vectorized ``admissible_at``: |C| bounded by forget steps below."""
-        digits = self.digits(ctx, codes)
+        digits = self._decoded(ctx, codes, digits)
         return (digits == 1).sum(axis=1) <= forgotten_count
 
     # -- transitions -------------------------------------------------------
 
     def introduce(
-        self, cctx: _BagCtx, pctx: _BagCtx, v: int, codes: np.ndarray
+        self,
+        cctx: _BagCtx,
+        pctx: _BagCtx,
+        v: int,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All parent candidates when ``v`` joins the bag.
 
@@ -371,89 +400,86 @@ class PackedSubgraphOps:
         ``src[i]`` into parent code ``out[i]`` (the multiset matches the
         reference ``space.introduce`` yields exactly); ``lift[n]`` is child
         state ``n``'s canonical no-new-match lift (here: itself, re-encoded
-        relative to the parent bag).
+        relative to the parent bag).  The first ``n`` candidates are the
+        lifts; the new matches follow, pattern vertex by pattern vertex,
+        each in ascending child order.
         """
         n = codes.size
         jv = int(np.searchsorted(pctx.bag, v))
-        digits = self.digits(cctx, codes)
-        remap = np.empty(cctx.base, dtype=np.int64)
-        remap[0] = 0
-        remap[1] = 1
-        if cctx.size:
-            j = np.arange(cctx.size, dtype=np.int64)
-            remap[2:] = 2 + j + (j >= jv)
-        pdigits = remap[digits]
+        pdigits = self._remap(cctx.size, jv, True)[
+            self._decoded(cctx, codes, digits)
+        ]
         rem_codes = self.codes_from_digits(pctx, pdigits)
-        src_parts = [np.arange(n, dtype=np.int64)]
-        out_parts = [rem_codes]
-        if self.space._can_host(v) and n:
-            adj_v = self._bag_adj(pctx)[jv]
-            # okq[d]: pattern neighbor q with parent digit d blocks the new
-            # match iff q is in C (d == 1) or mapped to a non-neighbor of v.
-            okq = np.concatenate([[True, False], adj_v])
-            vdigit = np.int64(2 + jv)
-            for p in range(self.k):
-                if not self.space._class_ok(p, v):
-                    continue
-                mask = pdigits[:, p] == 0
-                for q in self.nbr[p]:
-                    if not mask.any():
-                        break
-                    mask &= okq[pdigits[:, q]]
-                idx = np.flatnonzero(mask)
-                if idx.size:
-                    src_parts.append(idx)
-                    out_parts.append(rem_codes[idx] + vdigit * pctx.pows[p])
+        lift_src = np.arange(n, dtype=np.int64)
+        if not (self.space._can_host(v) and n):
+            return lift_src, rem_codes, rem_codes
+        # blocked[i, q]: pattern vertex q, with parent digit d, rules out
+        # matching a pattern neighbor of q onto v — q is in C (d == 1) or
+        # mapped to a non-neighbor of v.
+        blocks = np.concatenate([[False, True], ~self._bag_adj(pctx)[jv]])
+        blocked = blocks[pdigits]
+        # cand[i, p]: p is unmatched, its class admits v and none of its
+        # pattern neighbors is blocked.
+        cand = (
+            (pdigits == 0)
+            & ~(blocked @ self.adj)
+            & self._class_ok(pctx)[:, jv]
+        )
+        p_idx, ext_src = np.nonzero(cand.T)
+        ext_out = rem_codes[ext_src] + np.int64(2 + jv) * pctx.pows[p_idx]
         return (
-            np.concatenate(src_parts),
-            np.concatenate(out_parts),
+            np.concatenate([lift_src, ext_src]),
+            np.concatenate([rem_codes, ext_out]),
             rem_codes,
         )
 
     def forget(
-        self, cctx: _BagCtx, pctx: _BagCtx, v: int, codes: np.ndarray
+        self,
+        cctx: _BagCtx,
+        pctx: _BagCtx,
+        v: int,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The unique parent candidate (if any) when ``v`` leaves the bag.
 
         Returns ``(src, out, lift)``: kept child indices, their parent
         codes, and a per-child lift array (``-1`` where the state dies).
         """
-        n = codes.size
         jv = int(np.searchsorted(cctx.bag, v))
-        dv = 2 + jv
-        digits = self.digits(cctx, codes)
-        remap = np.empty(cctx.base, dtype=np.int64)
-        remap[0] = 0
-        remap[1] = 1
-        if cctx.size:
-            j = np.arange(cctx.size, dtype=np.int64)
-            remap[2:] = 2 + j - (j > jv)
-        remap[dv] = 1  # the forgotten vertex's pattern vertex moves to C
-        pdigits = remap[digits]
-        keep = np.ones(n, dtype=bool)
-        for p in range(self.k):
-            mp = digits[:, p] == dv
-            if not mp.any():
-                continue
-            ok = mp.copy()
-            for q in self.nbr[p]:
-                ok &= digits[:, q] != 0
-            keep &= ~mp | ok
-        src = np.flatnonzero(keep)
-        out = self.codes_from_digits(pctx, pdigits[src])
-        lift = np.full(n, NIL, dtype=np.int64)
+        digits = self._decoded(cctx, codes, digits)
+        # The pattern vertex on v moves to C, which needs every pattern
+        # neighbor of it matched already (none left in U).
+        stranded = (digits == 2 + jv) & ((digits == 0) @ self.adj)
+        src = np.flatnonzero(~stranded.any(axis=1))
+        out = self.codes_from_digits(
+            pctx, self._remap(cctx.size, jv, False)[digits[src]]
+        )
+        lift = np.full(codes.size, NIL, dtype=np.int64)
         lift[src] = out
         return src, out, lift
 
-    def join_keys(self, ctx: _BagCtx, codes: np.ndarray) -> np.ndarray:
-        """Bucketing key: the mapped part of phi (C folded into U)."""
-        digits = self.digits(ctx, codes)
-        keymap = np.arange(ctx.base, dtype=np.int64)
-        keymap[1] = 0
-        return self.codes_from_digits(ctx, keymap[digits])
+    def join_parts(
+        self,
+        ctx: _BagCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(key, c_part, c_bits)`` per code: the bucketing key is the
+        mapped part of phi (C folded into U), ``c_part`` the code's C
+        digits (``code = key + c_part``), ``c_bits`` the C bitmask over
+        pattern vertices."""
+        in_child = self._decoded(ctx, codes, digits) == 1
+        c_part = in_child @ ctx.pows
+        return codes - c_part, c_part, in_child @ self.cbits
 
     def join(
-        self, ctx: _BagCtx, lcodes: np.ndarray, rcodes: np.ndarray
+        self,
+        ctx: _BagCtx,
+        lcodes: np.ndarray,
+        rcodes: np.ndarray,
+        ldigits: Optional[np.ndarray] = None,
+        rdigits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All key-compatible (left, right) pairs and their join results.
 
@@ -462,47 +488,69 @@ class PackedSubgraphOps:
         pairs with disjoint C sets (the pairs that actually join), and
         ``out`` is the joined code (meaningful where ``valid``).
         """
-        kl = self.join_keys(ctx, lcodes)
-        kr = self.join_keys(ctx, rcodes)
+        kl, ccl, cml = self.join_parts(ctx, lcodes, ldigits)
+        kr, ccr, cmr = self.join_parts(ctx, rcodes, rdigits)
         li, ri = match_key_pairs(kl, kr)
         if li.size == 0:
             return li, ri, _EMPTY, np.zeros(0, dtype=bool)
-        ccl = lcodes - kl  # the C contribution: digit 1 at C positions
-        ccr = rcodes - kr
-        cml = self.cmask(self.digits(ctx, lcodes))
-        cmr = self.cmask(self.digits(ctx, rcodes))
         valid = (cml[li] & cmr[ri]) == 0
         out = kl[li] + ccl[li] + ccr[ri]
         return li, ri, out, valid
 
-    def join_lift(self, ctx: _BagCtx, codes: np.ndarray) -> np.ndarray:
+    def join_lift(
+        self,
+        ctx: _BagCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Canonical lift through a join: combine with the empty-C twin."""
         return codes
 
     # -- local enumeration (Section 3.3.2) ----------------------------------
 
-    def _skel_luts(self, ctx: _BagCtx) -> List[np.ndarray]:
-        if ctx.skel_luts is None:
+    def local_table(self, ctx: _BagCtx) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, digits)`` of every locally plausible state of the bag,
+        sorted by code; both arrays are read-only.
+
+        The state set depends only on the bag's *local structure* — its
+        size, adjacency matrix, hostable positions and class mask — not on
+        which target vertices form it, so it is enumerated once per
+        structure and memoized on the pattern
+        (:attr:`~repro.isomorphism.pattern.Pattern.local_tables`).
+        """
+        if ctx.local is None:
             adj = self._bag_adj(ctx)
-            ctx.skel_luts = [
-                np.concatenate([[True, True], adj[j]])
+            class_ok = self._class_ok(ctx)
+            host = tuple(
+                j
                 for j in range(ctx.size)
-            ]
-        return ctx.skel_luts
+                if self.space._can_host(int(ctx.bag[j]))
+            )
+            key = (ctx.size, adj.tobytes(), host, class_ok.tobytes())
+            memo = self.pattern.local_tables
+            table = memo.get(key)
+            if table is None:
+                table = self._enumerate_local(ctx, adj, host, class_ok)
+                memo[key] = table
+            ctx.local = table
+        return ctx.local
 
-    def local_digit_matrix(self, ctx: _BagCtx) -> np.ndarray:
-        """Digit matrix of every locally plausible state of the bag.
-
-        Incremental column-wise expansion with vectorized pruning — the
+    def _enumerate_local(
+        self,
+        ctx: _BagCtx,
+        adj: np.ndarray,
+        host: Tuple[int, ...],
+        class_ok: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Incremental column-wise expansion with vectorized pruning — the
         same state set (and the same ``(tau + 3)^k`` bound) as the
         reference recursive enumeration, without per-state Python frames.
         """
-        if ctx.local_digits is not None:
-            return ctx.local_digits
         k = self.k
-        luts = self._skel_luts(ctx)
-        class_ok = self._class_ok(ctx)
-        host = self._host_positions(ctx)
+        # luts[j][d]: a pattern neighbor with digit d admits bag vertex j.
+        luts = np.concatenate(
+            [np.ones((ctx.size, 2), dtype=bool), adj], axis=1
+        )
         digits = np.zeros((1, k), dtype=np.int64)
         occ = np.zeros(1, dtype=np.int64)
         # Mapped skeletons: each pattern vertex either stays off the bag or
@@ -552,15 +600,11 @@ class PackedSubgraphOps:
         digits = digits[ok]
         codes = self.codes_from_digits(ctx, digits)
         order = np.argsort(codes, kind="stable")
-        ctx.local_digits = digits[order]
-        ctx.local_codes = codes[order]
-        return ctx.local_digits
-
-    def local_codes(self, ctx: _BagCtx) -> np.ndarray:
-        """Sorted codes of every locally plausible state of the bag."""
-        if ctx.local_codes is None:
-            self.local_digit_matrix(ctx)
-        return ctx.local_codes
+        codes = codes[order]
+        digits = digits[order]
+        codes.flags.writeable = False
+        digits.flags.writeable = False
+        return codes, digits
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class Pattern:
     )
     _subpattern_count: Optional[int] = field(
         init=False, repr=False, compare=False, default=None
+    )
+    # Locally plausible packed states per bag *structure* (the packed
+    # kernels' Section 3.3.2 enumeration), shared by every state space,
+    # piece and session that uses this pattern object.
+    _local_tables: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -115,6 +121,13 @@ class Pattern:
     def adjacency_bits(self) -> np.ndarray:
         """Per-vertex int64 neighbor bitmasks (``k <= 63`` only)."""
         return self._adj_bits
+
+    @property
+    def local_tables(self) -> Dict[tuple, Tuple[np.ndarray, np.ndarray]]:
+        """Memo of the packed kernels' local-state tables, keyed by bag
+        structure (see ``repro.isomorphism.packed``); lives as long as
+        this pattern object."""
+        return self._local_tables
 
     def edge_list(self) -> List[Tuple[int, int]]:
         """Canonical ``u < v`` pattern edges as Python int pairs."""

@@ -21,7 +21,7 @@ The kernels generate the same candidate multisets as the reference
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class _SepCtx:
         "full",
         "marked_bits",
         "adj_bits",
-        "local_codes",
+        "local",
     )
 
     def __init__(self, ops: "PackedSeparatingOps", bag: np.ndarray) -> None:
@@ -104,7 +104,7 @@ class _SepCtx:
         self.adj_bits = (
             (adj @ weights) if b else np.zeros(0, dtype=np.int64)
         )
-        self.local_codes = None
+        self.local: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class PackedSeparatingOps:
@@ -144,9 +144,13 @@ class PackedSeparatingOps:
         return base, inside, ix, ox
 
     def _outside(
-        self, ctx: _SepCtx, base: np.ndarray, inside: np.ndarray
+        self,
+        ctx: _SepCtx,
+        base: np.ndarray,
+        inside: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        occ = self.plain.occupied_bits(ctx.bctx, base)
+        occ = self.plain.occupied_bits(ctx.bctx, base, digits)
         return ctx.full & ~occ & ~inside
 
     # -- codec -------------------------------------------------------------
@@ -207,7 +211,10 @@ class PackedSeparatingOps:
         )
 
     def trivial_source_mask(
-        self, ctx: _SepCtx, codes: np.ndarray
+        self,
+        ctx: _SepCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Never — side consistency through forgotten vertices is not
         locally checkable (see the reference space)."""
@@ -219,13 +226,17 @@ class PackedSeparatingOps:
         codes: np.ndarray,
         forgotten_count: int,
         marked_forgotten: bool,
+        digits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        """``digits``, here and in every kernel below, is the digit matrix
+        of the codes' base part (see ``PackedSubgraphOps``)."""
         base, inside, ix, ox = self._parts(ctx, codes)
+        digits = self.plain._decoded(ctx.bctx, base, digits)
         ok = self.plain.admissible_mask(
-            ctx.bctx, base, forgotten_count, marked_forgotten
+            ctx.bctx, base, forgotten_count, marked_forgotten, digits
         )
         if not marked_forgotten:
-            outside = self._outside(ctx, base, inside)
+            outside = self._outside(ctx, base, inside, digits)
             ok = ok & ((ix == 0) | ((inside & ctx.marked_bits) != 0))
             ok = ok & ((ox == 0) | ((outside & ctx.marked_bits) != 0))
         return ok
@@ -233,45 +244,42 @@ class PackedSeparatingOps:
     # -- transitions -------------------------------------------------------
 
     def introduce(
-        self, cctx: _SepCtx, pctx: _SepCtx, v: int, codes: np.ndarray
+        self,
+        cctx: _SepCtx,
+        pctx: _SepCtx,
+        v: int,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = int(codes.size)
-        base, inside, ix, ox = self._parts(cctx, codes)
+        base = codes & cctx.base_mask
+        high = codes >> cctx.s0  # inside | ix << B | ox << B + 1
+        inside = high & cctx.full
+        digits = self.plain._decoded(cctx.bctx, base, digits)
         psrc, pout, prem = self.plain.introduce(
-            cctx.bctx, pctx.bctx, v, base
+            cctx.bctx, pctx.bctx, v, base, digits
         )
         jv = int(np.searchsorted(pctx.bctx.bag, v))
-        low = (np.int64(1) << jv) - 1
-        p_inside = ((inside >> jv) << (jv + 1)) | (inside & low)
-        outside = self._outside(cctx, base, inside)
-        p_outside = ((outside >> jv) << (jv + 1)) | (outside & low)
-        extras = (
-            (p_inside << pctx.s0) | (ix << pctx.s_ix) | (ox << pctx.s_ox)
-        )
+        # The parent's high bits: v's side bit (0) inserted at position
+        # jv, which moves ix and ox up one bit with the side bits above.
+        low = (1 << jv) - 1
+        p_high = ((high >> jv) << (jv + 1)) | (high & low)
         # Plain-kernel layout contract: the first n candidates are the
         # "v hosts nothing" copies; the separating space replaces them with
         # the side options, so slice them off and keep the extensions.
         ext_src = psrc[n:]
-        ext_out = pout[n:] | extras[ext_src]
-        # Side options: legal iff v has no G-neighbor on the opposite side;
-        # a marked v raises its side's boolean.
-        avj = pctx.adj_bits[jv] if pctx.size else np.int64(0)
-        legal_in = (p_outside & avj) == 0
-        legal_out = (p_inside & avj) == 0
+        ext_out = pout[n:] | (p_high[ext_src] << pctx.s0)
+        # Side options: legal iff v has no G-neighbor on the opposite side
+        # (v's neighbors at child positions: its adjacency bits with bit
+        # jv squeezed out); a marked v raises its side's boolean.
+        avj = int(pctx.adj_bits[jv])
+        nbrs = ((avj >> (jv + 1)) << jv) | (avj & low)
+        legal_in = (self._outside(cctx, base, inside, digits) & nbrs) == 0
+        legal_out = (inside & nbrs) == 0
         mk = int(bool(self.space.marked[v]))
-        bit_v = np.int64(1) << jv
-        in_code = (
-            prem
-            | ((p_inside | bit_v) << pctx.s0)
-            | ((ix | mk) << pctx.s_ix)
-            | (ox << pctx.s_ox)
-        )
-        out_code = (
-            prem
-            | (p_inside << pctx.s0)
-            | (ix << pctx.s_ix)
-            | ((ox | mk) << pctx.s_ox)
-        )
+        in_bits = (1 << jv) | (mk << (pctx.s_ix - pctx.s0))
+        in_code = prem | ((p_high | in_bits) << pctx.s0)
+        out_code = prem | ((p_high | (mk << (pctx.s_ox - pctx.s0))) << pctx.s0)
         idx_in = np.flatnonzero(legal_in)
         idx_out = np.flatnonzero(legal_out)
         src = np.concatenate([ext_src, idx_in, idx_out])
@@ -285,59 +293,67 @@ class PackedSeparatingOps:
         return src, out, lift
 
     def forget(
-        self, cctx: _SepCtx, pctx: _SepCtx, v: int, codes: np.ndarray
+        self,
+        cctx: _SepCtx,
+        pctx: _SepCtx,
+        v: int,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        base, inside, ix, ox = self._parts(cctx, codes)
         # The plain kernel uniformly covers all three cases: an occupied v
         # moves its pattern vertex to C (with the neighbor check), a
-        # side-carrying v leaves its base digits untouched; the side bit
-        # (1 for inside, 0 for outside/occupied) is squeezed out below.
-        psrc, pout, _ = self.plain.forget(cctx.bctx, pctx.bctx, v, base)
-        jv = int(np.searchsorted(cctx.bctx.bag, v))
-        low = (np.int64(1) << jv) - 1
-        squeezed = ((inside >> (jv + 1)) << jv) | (inside & low)
-        extras = (
-            (squeezed << pctx.s0) | (ix << pctx.s_ix) | (ox << pctx.s_ox)
+        # side-carrying v leaves its base digits untouched; its side bit
+        # (1 for inside, 0 for outside/occupied) is squeezed out of the
+        # high bits below, moving ix and ox down one bit.
+        psrc, pout, _ = self.plain.forget(
+            cctx.bctx, pctx.bctx, v, codes & cctx.base_mask, digits
         )
-        out = pout | extras[psrc]
+        jv = int(np.searchsorted(cctx.bctx.bag, v))
+        high = codes[psrc] >> cctx.s0
+        p_high = ((high >> (jv + 1)) << jv) | (high & ((1 << jv) - 1))
+        out = pout | (p_high << pctx.s0)
         lift = np.full(codes.size, NIL, dtype=np.int64)
         lift[psrc] = out
         return psrc, out, lift
 
-    def join_keys(self, ctx: _SepCtx, codes: np.ndarray) -> np.ndarray:
-        """Key = mapped part of phi + the side assignment (booleans free)."""
-        base, inside, _ix, _ox = self._parts(ctx, codes)
-        return self.plain.join_keys(ctx.bctx, base) | (inside << ctx.s0)
-
     def join(
-        self, ctx: _SepCtx, lcodes: np.ndarray, rcodes: np.ndarray
+        self,
+        ctx: _SepCtx,
+        lcodes: np.ndarray,
+        rcodes: np.ndarray,
+        ldigits: Optional[np.ndarray] = None,
+        rdigits: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        kl = self.join_keys(ctx, lcodes)
-        kr = self.join_keys(ctx, rcodes)
+        """Key = mapped part of phi + the side assignment (booleans free)."""
+        bl, il, ixl, oxl = self._parts(ctx, lcodes)
+        br, ir, ixr, oxr = self._parts(ctx, rcodes)
+        bkl, ccl, cml = self.plain.join_parts(ctx.bctx, bl, ldigits)
+        bkr, ccr, cmr = self.plain.join_parts(ctx.bctx, br, rdigits)
+        kl = bkl | (il << ctx.s0)
+        kr = bkr | (ir << ctx.s0)
         li, ri = match_key_pairs(kl, kr)
         if li.size == 0:
             return li, ri, _EMPTY, np.zeros(0, dtype=bool)
-        bl, _il, ixl, oxl = self._parts(ctx, lcodes)
-        br, _ir, ixr, oxr = self._parts(ctx, rcodes)
-        bkl = self.plain.join_keys(ctx.bctx, bl)
-        bkr = self.plain.join_keys(ctx.bctx, br)
-        cml = self.plain.cmask(self.plain.digits(ctx.bctx, bl))
-        cmr = self.plain.cmask(self.plain.digits(ctx.bctx, br))
         valid = (cml[li] & cmr[ri]) == 0
         out = (
             kl[li]
-            + (bl - bkl)[li]
-            + (br - bkr)[ri]
+            + ccl[li]
+            + ccr[ri]
             | ((ixl[li] | ixr[ri]) << ctx.s_ix)
             | ((oxl[li] | oxr[ri]) << ctx.s_ox)
         )
         return li, ri, out, valid
 
-    def join_lift(self, ctx: _SepCtx, codes: np.ndarray) -> np.ndarray:
+    def join_lift(
+        self,
+        ctx: _SepCtx,
+        codes: np.ndarray,
+        digits: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Combine with the empty-C twin carrying the same sides; its
         booleans are exactly the bag's marked contribution."""
         base, inside, _ix, _ox = self._parts(ctx, codes)
-        outside = self._outside(ctx, base, inside)
+        outside = self._outside(ctx, base, inside, digits)
         m_in = ((inside & ctx.marked_bits) != 0).astype(np.int64)
         m_out = ((outside & ctx.marked_bits) != 0).astype(np.int64)
         return codes | (m_in << ctx.s_ix) | (m_out << ctx.s_ox)
@@ -363,20 +379,21 @@ class PackedSeparatingOps:
             rem &= ~comp
         return comps
 
-    def local_codes(self, ctx: _SepCtx) -> np.ndarray:
-        """Sorted codes of every locally plausible extended state: base
-        skeletons refined with per-component side assignments and
-        bag-consistent booleans (same set as the reference enumeration)."""
-        if ctx.local_codes is not None:
-            return ctx.local_codes
-        bcodes = self.plain.local_codes(ctx.bctx)
-        occ = self.plain.occupied_bits(ctx.bctx, bcodes)
-        free = (ctx.full & ~occ).astype(np.int64)
-        uniq, inv = np.unique(free, return_inverse=True)
+    def local_table(self, ctx: _SepCtx) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, digits)`` of every locally plausible extended state,
+        sorted by code (``digits`` of the base part): base skeletons
+        refined with per-component side assignments and bag-consistent
+        booleans (same set as the reference enumeration)."""
+        if ctx.local is not None:
+            return ctx.local
+        bcodes, bdigits = self.plain.local_table(ctx.bctx)
+        occ = self.plain.occupied_bits(ctx.bctx, bcodes, bdigits)
+        uniq, inv = np.unique(ctx.full & ~occ, return_inverse=True)
         marked = int(ctx.marked_bits)
         parts: List[np.ndarray] = []
+        row_parts: List[np.ndarray] = []
         for gi, fm in enumerate(uniq.tolist()):
-            rows = bcodes[inv == gi]
+            rows = np.flatnonzero(inv == gi)
             comps = self._component_masks(ctx, fm)
             c = len(comps)
             for mask in range(1 << c):
@@ -394,7 +411,12 @@ class PackedSeparatingOps:
                             | (ixv << ctx.s_ix)
                             | (oxv << ctx.s_ox)
                         )
-                        parts.append(rows + np.int64(extra))
-        codes = np.concatenate(parts) if parts else _EMPTY
-        ctx.local_codes = np.sort(codes)
-        return ctx.local_codes
+                        parts.append(bcodes[rows] + np.int64(extra))
+                        row_parts.append(rows)
+        if parts:
+            codes = np.concatenate(parts)
+            order = np.argsort(codes)
+            ctx.local = (codes[order], bdigits[np.concatenate(row_parts)[order]])
+        else:
+            ctx.local = (_EMPTY, bdigits[:0])
+        return ctx.local

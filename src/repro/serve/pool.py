@@ -13,18 +13,20 @@ that answers the query (requests check specs by syntax only).
 
 Residency is byte-budgeted: after each query the pool sizes the
 artifacts that query stored, and least-recently-used sessions are
-invalidated and dropped until the pool fits the budget (the session in
-use is never evicted; a single oversized session may therefore exceed
-the budget alone rather than thrash).  Sizing is incremental: between
-invalidations a session's caches only grow, so :meth:`touch` sizes only
-the entries stored since the last touch, against one identity set per
-session (an object shared by several artifacts counts once).  It runs
-under the session's lock, so it never walks a cache that a query on
-another executor thread is filling.  Eviction goes through
-:meth:`TargetSession.invalidate`, so every dropped artifact lands in the
-session's ``CacheStats.evictions`` — the pool folds those counters into
-its lifetime totals, which ``/metrics`` exposes as
-``repro_pool_evicted_artifacts_total``.
+invalidated and dropped until the pool fits the budget.  A session that
+a request has acquired and not yet touched is never evicted, nor one
+whose lock another thread holds: eviction takes the victim's lock
+without waiting before it drops the session (a single oversized session
+may therefore exceed the budget alone rather than thrash).  Sizing is
+incremental: between invalidations a session's caches only grow, so
+:meth:`touch` sizes only the entries stored since the last touch,
+against one identity set per session (an object shared by several
+artifacts counts once).  It runs under the session's lock, so it never
+walks a cache that a query on another executor thread is filling.
+Eviction goes through :meth:`TargetSession.invalidate`, so every dropped
+artifact lands in the session's ``CacheStats.evictions`` — the pool
+folds those counters into its lifetime totals, which ``/metrics``
+exposes as ``repro_pool_evicted_artifacts_total``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,10 @@ class PooledSession:
         self.session = session
         self.nbytes = 0
         self.queries = 0
+        #: Acquisitions not yet ended by a touch (pool lock guards it):
+        #: such a session is about to answer a query, so it is not
+        #: evictable even before its request takes ``lock``.
+        self.inflight = 0
         #: Serializes queries against this session: TargetSession is not
         #: thread-safe, and the server answers different targets'
         #: queries concurrently on executor threads.
@@ -174,7 +180,8 @@ class SessionPool:
     def acquire(self, target_spec: str) -> PooledSession:
         """The resident session for ``target_spec``, building on miss.
 
-        Marks the session most-recently-used.  The build happens outside
+        Marks the session most-recently-used and in flight until the
+        matching :meth:`touch`.  The build happens outside
         the pool lock (graph construction and embedding are real work);
         a concurrent build of the same fingerprint is resolved by
         last-writer-loses — the first registered session wins.  Raises
@@ -190,6 +197,7 @@ class SessionPool:
                 if pooled is not None:
                     self._sessions.move_to_end(fingerprint)
                     self.session_hits += 1
+                    pooled.inflight += 1
                     return pooled
         from .. import cli
 
@@ -204,44 +212,57 @@ class SessionPool:
         with self._lock:
             self._spec_fingerprints[target_spec] = fingerprint
             pooled = self._sessions.get(fingerprint)
-            if pooled is not None:
+            if pooled is None:
+                pooled = PooledSession(
+                    fingerprint, target_spec, TargetSession(graph, embedding)
+                )
+                self._sessions[fingerprint] = pooled
+                self.session_builds += 1
+            else:
                 self._sessions.move_to_end(fingerprint)
                 self.session_hits += 1
-                return pooled
-            pooled = PooledSession(
-                fingerprint, target_spec, TargetSession(graph, embedding)
-            )
-            self._sessions[fingerprint] = pooled
-            self.session_builds += 1
+            pooled.inflight += 1
             return pooled
 
     def touch(self, pooled: PooledSession) -> None:
-        """Size ``pooled``'s new artifacts and evict LRU sessions over
-        budget.  Sizing waits for the session's lock."""
+        """End one acquisition of ``pooled``: size its new artifacts and
+        evict LRU sessions over budget.  Sizing waits for the session's
+        lock.  A session no longer pooled (dropped meanwhile) evicts
+        nothing: its bytes are not the pool's.  A touch with no pending
+        acquisition leaves the in-flight count at zero."""
         with pooled.lock:
             pooled.refresh_nbytes()
             pooled.queries += 1
         with self._lock:
-            if pooled.fingerprint in self._sessions:
-                self._sessions.move_to_end(pooled.fingerprint)
+            if pooled.inflight:
+                pooled.inflight -= 1
+            if self._sessions.get(pooled.fingerprint) is not pooled:
+                return
+            self._sessions.move_to_end(pooled.fingerprint)
             self._evict_over_budget(keep=pooled.fingerprint)
 
     def _evict_over_budget(self, keep: Optional[str] = None) -> None:
         """Drop LRU sessions until the pool fits ``max_bytes``.
 
-        Caller holds ``self._lock``.  Sessions currently answering a
-        query (lock held) and the ``keep`` session are skipped.
+        Caller holds ``self._lock``.  The ``keep`` session, sessions in
+        flight and sessions whose lock is held elsewhere are skipped; a
+        victim is dropped holding its lock, taken without waiting.
         """
         while self.bytes_resident() > self.max_bytes:
-            victim = None
             for fingerprint, pooled in self._sessions.items():
-                if fingerprint == keep or pooled.lock.locked():
+                if (
+                    fingerprint == keep
+                    or pooled.inflight
+                    or not pooled.lock.acquire(blocking=False)
+                ):
                     continue
-                victim = fingerprint
+                try:
+                    self._drop(fingerprint)
+                finally:
+                    pooled.lock.release()
                 break
-            if victim is None:
+            else:
                 return
-            self._drop(victim)
 
     def _drop(self, fingerprint: str) -> None:
         pooled = self._sessions.pop(fingerprint)

@@ -40,14 +40,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from .errors import (
-    BadRequest,
     MethodNotAllowed,
     NotFound,
     PayloadTooLarge,
     ServeError,
     ShuttingDown,
 )
-from .pool import DEFAULT_BUDGET, SessionPool
+from .pool import SessionPool
 from .protocol import (
     QueryRequest,
     batch_to_dict,
@@ -326,12 +325,15 @@ class QueryServer:
         )
 
     def _run_blocking(self, request: QueryRequest):
-        """Executor-thread body: acquire the session, run the driver."""
+        """Executor-thread body: acquire the session, run the driver.
+        The touch runs whatever the query does, so the session never
+        stays in flight (unevictable) after its request."""
         pooled = self.pool.acquire(request.target)
-        with pooled.lock:
-            result = self._dispatch_query(pooled.session, request)
-        self.pool.touch(pooled)
-        return result
+        try:
+            with pooled.lock:
+                return self._dispatch_query(pooled.session, request)
+        finally:
+            self.pool.touch(pooled)
 
     def _dispatch_query(self, session, request: QueryRequest):
         from .. import cli

@@ -21,7 +21,7 @@ from repro.engine.planner import (
     plan_query,
     resolve_plan,
 )
-from repro.graphs import Graph, grid_graph, wheel_graph
+from repro.graphs import Graph, grid_graph, triangulated_grid, wheel_graph
 from repro.isomorphism import (
     count_occurrences_exact,
     cycle_pattern,
@@ -34,7 +34,7 @@ from repro.isomorphism import (
 )
 from repro.isomorphism.disconnected import decide_disconnected
 from repro.isomorphism.pattern import Pattern
-from repro.planar import embed_geometric, embed_planar
+from repro.planar import embed_geometric
 from repro.separating.driver import decide_separating_isomorphism
 
 PROCESSORS = 256
@@ -162,6 +162,22 @@ class TestPlanResolution:
         )
         assert plan.stats.overflow_risk
         assert plan.kernel == "reference"
+
+    def test_large_predicted_work_plans_serial_on_many_cores(
+        self, monkeypatch
+    ):
+        # The threads backend runs pieces under the GIL, so neither the
+        # core count nor the predicted work makes the planner pick it.
+        from repro.exec import backends
+
+        monkeypatch.setattr(backends, "available_cores", lambda: 4)
+        gg = triangulated_grid(8, 8)
+        emb, _ = embed_geometric(gg)
+        plan = plan_query(
+            TargetSession(gg.graph, emb), path_pattern(3), "count"
+        )
+        assert plan.predicted.work >= 5_000_000
+        assert plan.backend == "serial"
 
     def test_explicit_arguments_override_plan(self):
         graph, emb = _grid(6, 6)

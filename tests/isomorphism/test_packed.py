@@ -30,6 +30,7 @@ from repro.isomorphism import (
     star_pattern,
     triangle,
 )
+from repro.isomorphism.pattern import Pattern
 from repro.isomorphism.packed import (
     match_key_pairs,
     member_positions,
@@ -188,6 +189,177 @@ class TestPrimitives:
             if a == b
         )
         assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# decode once: kernels taking the caller's digit matrix
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b):
+    """Byte-identical arrays: same dtype, shape and contents."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+KERNEL_PATTERNS = [
+    path_pattern(2), path_pattern(3), triangle(), cycle_pattern(4),
+    star_pattern(3),
+]
+
+
+@st.composite
+def _bag_tables(draw):
+    """A plain space over a 4x4 triangulated grid (random hostable mask),
+    a bag, and two random code tables over it."""
+    g = triangulated_grid(4, 4).graph
+    pattern = draw(st.sampled_from(KERNEL_PATTERNS))
+    allowed = np.asarray(
+        draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool
+    )
+    space = SubgraphStateSpace(pattern, g, allowed=allowed)
+    bag = sorted(
+        draw(st.lists(st.integers(0, g.n - 1), max_size=6, unique=True))
+    )
+    ops = space.packed_ops()
+    ctx = ops.ctx(np.asarray(bag, dtype=np.int64))
+    tables = []
+    for _ in range(2):
+        rows = draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, len(bag) + 1),
+                    min_size=pattern.k,
+                    max_size=pattern.k,
+                ),
+                max_size=24,
+            )
+        )
+        digits = np.asarray(rows, dtype=np.int64).reshape(-1, pattern.k)
+        tables.append(ops.codes_from_digits(ctx, digits))
+    return g, ops, bag, ctx, tables
+
+
+class TestDecodeOnce:
+    """Every kernel returns byte-identical arrays whether it gets the
+    digit matrix from its caller or decodes the codes itself."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_bag_tables(), st.data())
+    def test_plain_kernels(self, drawn, data):
+        g, ops, bag, ctx, (codes, other) = drawn
+        digits = ops.digits(ctx, codes)
+        odigits = ops.digits(ctx, other)
+        for mask in ("trivial_source_mask", "join_lift", "occupied_bits"):
+            kernel = getattr(ops, mask)
+            assert _same(kernel(ctx, codes), kernel(ctx, codes, digits))
+        fc = data.draw(st.integers(0, 3))
+        assert _same(
+            ops.admissible_mask(ctx, codes, fc, False),
+            ops.admissible_mask(ctx, codes, fc, False, digits),
+        )
+        for a, b in zip(
+            ops.join(ctx, codes, other),
+            ops.join(ctx, codes, other, digits, odigits),
+        ):
+            assert _same(a, b)
+        outside = [v for v in range(g.n) if v not in bag]
+        v = data.draw(st.sampled_from(outside))
+        pctx = ops.ctx(np.asarray(sorted(bag + [v]), dtype=np.int64))
+        for a, b in zip(
+            ops.introduce(ctx, pctx, v, codes),
+            ops.introduce(ctx, pctx, v, codes, digits),
+        ):
+            assert _same(a, b)
+        if bag:
+            v = data.draw(st.sampled_from(bag))
+            fctx = ops.ctx(
+                np.asarray([u for u in bag if u != v], dtype=np.int64)
+            )
+            for a, b in zip(
+                ops.forget(ctx, fctx, v, codes),
+                ops.forget(ctx, fctx, v, codes, digits),
+            ):
+                assert _same(a, b)
+
+
+# ---------------------------------------------------------------------------
+# local-state memo
+# ---------------------------------------------------------------------------
+
+
+class TestLocalTableMemo:
+    """The locally plausible states of a bag depend only on its local
+    structure, so they are enumerated once per structure and shared
+    through the pattern."""
+
+    @staticmethod
+    def _reference(space, ops, ctx):
+        return np.sort(ops.encode(ctx, space.local_states(ctx.bag)))
+
+    def test_equal_structure_shares_one_entry(self):
+        pattern = Pattern(Graph(3, [(0, 1), (1, 2)]))  # a private memo
+        g = grid_graph(4, 4).graph
+        # Two unit squares of the grid: other vertices, same adjacency.
+        a, b = [0, 1, 4, 5], [10, 11, 14, 15]
+        assert np.array_equal(
+            g.has_edges(np.asarray(a)[:, None], np.asarray(a)[None, :]),
+            g.has_edges(np.asarray(b)[:, None], np.asarray(b)[None, :]),
+        )
+        space = SubgraphStateSpace(pattern, g)
+        ops = space.packed_ops()
+        codes_a, digits_a = ops.local_table(ops.ctx(a))
+        # Another piece (another space over another graph) sees the same
+        # structure and gets the same entry.
+        other = SubgraphStateSpace(pattern, grid_graph(5, 5).graph)
+        other_ops = other.packed_ops()
+        ctx_b = other_ops.ctx([12, 13, 17, 18])
+        codes_b, digits_b = other_ops.local_table(ctx_b)
+        assert codes_b is codes_a and digits_b is digits_a
+        assert len(pattern.local_tables) == 1
+        assert np.array_equal(codes_b, self._reference(other, other_ops, ctx_b))
+        assert np.array_equal(ops.local_table(ops.ctx(b))[0], codes_a)
+        assert np.array_equal(
+            ops.codes_from_digits(ctx_b, digits_b), codes_b
+        )
+
+    def test_host_or_class_mask_get_their_own_entry(self):
+        pattern = Pattern(Graph(3, [(0, 1), (1, 2)]))
+        g = grid_graph(4, 4).graph
+        bag = [5, 6, 9, 10]
+        allowed = np.ones(g.n, dtype=bool)
+        allowed[6] = False
+        spaces = [
+            SubgraphStateSpace(pattern, g),
+            SubgraphStateSpace(pattern, g, allowed=allowed),
+            SubgraphStateSpace(
+                pattern,
+                g,
+                host_classes=np.arange(g.n) % 2,
+                pattern_classes=[0, None, 1],
+            ),
+        ]
+        tables = []
+        for space in spaces:
+            ops = space.packed_ops()
+            ctx = ops.ctx(bag)
+            codes, _ = ops.local_table(ctx)
+            assert np.array_equal(codes, self._reference(space, ops, ctx))
+            tables.append(codes.tolist())
+        assert len(pattern.local_tables) == 3
+        assert len({tuple(t) for t in tables}) == 3
+
+    def test_memoized_arrays_are_read_only(self):
+        pattern = Pattern(Graph(3, [(0, 1), (1, 2)]))
+        space = SubgraphStateSpace(pattern, grid_graph(4, 4).graph)
+        ops = space.packed_ops()
+        codes, digits = ops.local_table(ops.ctx([0, 1, 4, 5]))
+        assert codes.size and digits.size
+        with pytest.raises(ValueError):
+            codes[0] = 0
+        with pytest.raises(ValueError):
+            digits[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,112 @@ class TestSeparatingCodec:
         assert not ops.fits(_FakeNice())
 
 
+def _same(a, b):
+    """Byte-identical arrays: same dtype, shape and contents."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+@st.composite
+def _sep_tables(draw):
+    """A separating space over a 4x4 grid (random marks and hostable
+    mask), a bag, and two random canonical code tables over it."""
+    g = grid_graph(4, 4).graph
+    k = draw(st.integers(2, 4))
+    marked = np.asarray(
+        draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool
+    )
+    allowed = np.asarray(
+        draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool
+    )
+    space = SeparatingStateSpace(path_pattern(k), g, marked, allowed)
+    ops = space.packed_ops()
+    bag = sorted(
+        draw(st.lists(st.integers(0, g.n - 1), max_size=5, unique=True))
+    )
+    ctx = ops.ctx(np.asarray(bag, dtype=np.int64))
+    lut = [-1, -2] + bag
+    tables = []
+    for _ in range(2):
+        states = []
+        for _ in range(draw(st.integers(0, 16))):
+            row = draw(
+                st.lists(
+                    st.integers(0, len(bag) + 1), min_size=k, max_size=k
+                )
+            )
+            occupied = {d - 2 for d in row if d >= 2}
+            free = [j for j in range(len(bag)) if j not in occupied]
+            sides = draw(
+                st.lists(st.booleans(), min_size=len(free), max_size=len(free))
+            )
+            states.append(
+                (
+                    tuple(lut[d] for d in row),
+                    tuple(bag[j] for j, s in zip(free, sides) if s),
+                    tuple(bag[j] for j, s in zip(free, sides) if not s),
+                    draw(st.booleans()),
+                    draw(st.booleans()),
+                )
+            )
+        tables.append(ops.encode(ctx, states))
+    return g, ops, bag, ctx, tables
+
+
+class TestSeparatingDecodeOnce:
+    """The separating kernels return byte-identical arrays whether they
+    get the base digit matrix from their caller or decode it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sep_tables(), st.data())
+    def test_kernels(self, drawn, data):
+        g, ops, bag, ctx, (codes, other) = drawn
+        digits = ops.plain.digits(ctx.bctx, codes & ctx.base_mask)
+        odigits = ops.plain.digits(ctx.bctx, other & ctx.base_mask)
+        for kernel in (ops.trivial_source_mask, ops.join_lift):
+            assert _same(kernel(ctx, codes), kernel(ctx, codes, digits))
+        fc = data.draw(st.integers(0, 3))
+        mf = data.draw(st.booleans())
+        assert _same(
+            ops.admissible_mask(ctx, codes, fc, mf),
+            ops.admissible_mask(ctx, codes, fc, mf, digits),
+        )
+        for a, b in zip(
+            ops.join(ctx, codes, other),
+            ops.join(ctx, codes, other, digits, odigits),
+        ):
+            assert _same(a, b)
+        v = data.draw(st.sampled_from([u for u in range(g.n) if u not in bag]))
+        pctx = ops.ctx(np.asarray(sorted(bag + [v]), dtype=np.int64))
+        for a, b in zip(
+            ops.introduce(ctx, pctx, v, codes),
+            ops.introduce(ctx, pctx, v, codes, digits),
+        ):
+            assert _same(a, b)
+        if bag:
+            v = data.draw(st.sampled_from(bag))
+            fctx = ops.ctx(
+                np.asarray([u for u in bag if u != v], dtype=np.int64)
+            )
+            for a, b in zip(
+                ops.forget(ctx, fctx, v, codes),
+                ops.forget(ctx, fctx, v, codes, digits),
+            ):
+                assert _same(a, b)
+
+    def test_local_table_digits_match_its_codes(self):
+        g = triangulated_grid(3, 3).graph
+        marked = np.arange(g.n) % 3 == 0
+        ops = SeparatingStateSpace(triangle(), g, marked).packed_ops()
+        ctx = ops.ctx([0, 1, 3, 4])
+        codes, digits = ops.local_table(ctx)
+        assert codes.size and np.all(codes[1:] > codes[:-1])
+        assert np.array_equal(
+            digits, ops.plain.digits(ctx.bctx, codes & ctx.base_mask)
+        )
+
+
 TARGETS = [
     ("grid", grid_graph(4, 4).graph),
     ("tri-grid", triangulated_grid(3, 4).graph),

@@ -5,6 +5,7 @@ surface through the pool).
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,7 @@ def test_eviction_skips_locked_sessions():
     pool = SessionPool(max_bytes=1)
     a = pool.acquire("grid:4x4")
     _run_query(a)
+    pool.touch(a)  # a's request is over: a is evictable, unless locked
     b = pool.acquire("grid:5x5")
     _run_query(b)
     with a.lock:  # a is mid-query on another thread
@@ -95,6 +97,105 @@ def test_eviction_skips_locked_sessions():
         assert a.fingerprint in pool  # over budget, but not evictable
     pool.touch(b)
     assert a.fingerprint not in pool  # lock released: LRU drops it
+
+
+def test_acquired_session_is_not_evicted_before_its_query():
+    # A request has acquired grid:5x5 but not yet taken its lock when
+    # another target's request touches the pool: the acquired session
+    # stays, answers into the pool, and is not rebuilt afterwards.
+    pool = SessionPool(max_bytes=1)
+    a = pool.acquire("grid:5x5")
+    b = pool.acquire("grid:4x4")
+    _run_query(b)
+    pool.touch(b)
+    assert a.fingerprint in pool
+    _run_query(a)
+    pool.touch(a)
+    assert a.fingerprint in pool
+    assert b.fingerprint not in pool  # idle once touched: evictable
+    builds = pool.session_builds
+    assert pool.acquire("grid:5x5") is a
+    assert pool.session_builds == builds
+
+
+def test_touch_of_a_dropped_session_evicts_nothing():
+    pool = SessionPool(max_bytes=1)
+    a = pool.acquire("grid:5x5")
+    _run_query(a)
+    pool.touch(a)
+    assert pool.evict(a.fingerprint)
+    b = pool.acquire("grid:4x4")
+    _run_query(b)
+    pool.touch(b)
+    pool.touch(a)  # late: a is no longer pooled
+    assert b.fingerprint in pool
+    assert pool.sessions_evicted == 1
+
+
+def test_eviction_drops_the_victim_under_its_lock():
+    pool = SessionPool(max_bytes=1)
+    a = pool.acquire("grid:4x4")
+    _run_query(a)
+    pool.touch(a)
+    b = pool.acquire("grid:5x5")
+    _run_query(b)
+    held = []
+    invalidate = a.session.invalidate
+
+    def checked_invalidate():
+        held.append(a.lock.locked())
+        invalidate()
+
+    a.session.invalidate = checked_invalidate
+    pool.touch(b)
+    assert a.fingerprint not in pool
+    assert held == [True]
+    assert not a.lock.locked()
+
+
+def test_racing_requests_never_answer_on_a_dropped_session():
+    # Six threads on three targets under a 1-byte budget: every touch
+    # evicts all it may, yet each request's session stays pooled from its
+    # acquire to its touch, and every in-flight count returns to zero.
+    pool = SessionPool(max_bytes=1)
+    specs = ["grid:3x3", "grid:3x4", "grid:4x4"]
+    errors = []
+    dropped = []
+
+    def worker(i):
+        try:
+            for r in range(4):
+                pooled = pool.acquire(specs[(i + r) % len(specs)])
+                try:
+                    time.sleep(0.002)  # other requests touch meanwhile
+                    with pooled.lock:
+                        if not any(p is pooled for p in pool.resident()):
+                            dropped.append(pooled.spec)
+                        pooled.session.find_occurrence(
+                            P("path:2"), seed=0, plan="auto"
+                        )
+                finally:
+                    pool.touch(pooled)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert dropped == []
+    assert all(p.inflight == 0 for p in pool.resident())
+    assert pool.sessions_evicted > 0  # the budget did force evictions
 
 
 def test_close_drops_everything_with_accounting():
